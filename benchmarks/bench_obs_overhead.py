@@ -36,7 +36,8 @@ The continuous profiling plane is a background *duty cycle*, not a
 per-call cost: the sampler steals the GIL once per tick to walk every
 thread's stack.  End-to-end with-vs-without timing of a background
 thread is noise-dominated, so the bench prices one sampling pass over
-a serve-pool-sized thread population and scales it by the default rate
+four parked HTTP handler threads (the threads served estimates run on)
+and scales it by the default rate
 — ``pass_seconds x DEFAULT_HZ`` is the fraction of one core (and,
 under the GIL, of the estimate path) sampling consumes — held to the
 same <5% budget.
@@ -196,8 +197,8 @@ def experiment(module, catalog, results_dir):
     )
 
     # Continuous stack sampling: price one sampling pass (walk + fold
-    # every thread's stack) over a serve-pool-sized thread population,
-    # then scale by the default rate — the sampler's duty cycle.
+    # every thread's stack) over four parked HTTP handler threads, then
+    # scale by the default rate — the sampler's duty cycle.
     from repro.obs.journal import NOOP_JOURNAL
     from repro.obs.sampling import DEFAULT_HZ, StackSampler
 
@@ -206,7 +207,7 @@ def experiment(module, catalog, results_dir):
         threading.Thread(
             target=release.wait,
             args=(60.0,),
-            name=f"repro-serve-worker-{index}",
+            name=f"Thread-{index} (process_request_thread)",
             daemon=True,
         )
         for index in range(4)
@@ -348,7 +349,7 @@ def test_tail_overhead_within_budget(experiment):
 
 def test_sampling_overhead_within_budget(experiment):
     # The stack sampler's duty cycle at the default rate — one pass over
-    # a serve-pool-sized thread population times DEFAULT_HZ — must stay
+    # four parked HTTP handler threads times DEFAULT_HZ — must stay
     # under the <5% budget: that is the ceiling on what continuous
     # profiling can steal from the estimate path through the GIL.
     assert experiment["overhead_sampling"] < OVERHEAD_BUDGET

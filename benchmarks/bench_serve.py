@@ -3,9 +3,9 @@
 Drives N concurrent clients, each issuing M back-to-back requests (the
 next request leaves when the previous answer lands — a closed loop, so
 offered load adapts to service capacity instead of overrunning it),
-against an **in-process** daemon: either straight into the
-:class:`~repro.serve.EstimationService` worker pool, or through the full
-HTTP stack with ``--http``.
+against an **in-process** daemon: either straight into
+:class:`~repro.serve.EstimationService` on the client threads, or
+through the full HTTP stack with ``--http``.
 
 Reported: sustained throughput (requests/second), p50/p99 per-request
 latency, error/rejection counts, and whether every concurrent estimate
@@ -16,7 +16,7 @@ the benchmark doubles as the swap-under-load acceptance check.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_serve.py                 # pool
+    PYTHONPATH=src python benchmarks/bench_serve.py                 # inline
     PYTHONPATH=src python benchmarks/bench_serve.py --http          # HTTP
     PYTHONPATH=src python benchmarks/bench_serve.py --clients 8 \\
         --requests 25 --swap-every 50                               # CI smoke
@@ -113,7 +113,6 @@ def run_load(
     sphere: IntelliSphere,
     clients: int = 8,
     requests_per_client: int = 25,
-    workers: int = 8,
     queue_depth: int = 1024,
     http: bool = False,
     swap_every: int = 0,
@@ -137,15 +136,11 @@ def run_load(
 
     daemon: Optional[ServeDaemon] = None
     if http:
-        daemon = ServeDaemon(
-            sphere, port=0, workers=workers, queue_depth=queue_depth
-        )
+        daemon = ServeDaemon(sphere, port=0, queue_depth=queue_depth)
         daemon.start()
         service = daemon.service
     else:
-        service = EstimationService(
-            sphere, workers=workers, queue_depth=queue_depth
-        ).start()
+        service = EstimationService(sphere, queue_depth=queue_depth).start()
 
     def client(slot: int) -> None:
         nonlocal server_errors
@@ -213,7 +208,7 @@ def run_load(
     flat = sorted(value for bucket in latencies for value in bucket)
     total = clients * requests_per_client
     return {
-        "mode": "http" if http else "pool",
+        "mode": "http" if http else "inline",
         "clients": clients,
         "requests": total,
         "completed": completed["count"],
@@ -238,12 +233,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--requests", type=int, default=25, help="requests per client"
     )
-    parser.add_argument("--workers", type=int, default=8)
     parser.add_argument("--queue-depth", type=int, default=1024)
     parser.add_argument(
         "--http",
         action="store_true",
-        help="drive through the HTTP stack instead of the worker pool",
+        help="drive through the HTTP stack instead of calling the service",
     )
     parser.add_argument(
         "--swap-every",
@@ -263,7 +257,6 @@ def main(argv=None) -> int:
         sphere,
         clients=args.clients,
         requests_per_client=args.requests,
-        workers=args.workers,
         queue_depth=args.queue_depth,
         http=args.http,
         swap_every=args.swap_every,

@@ -355,7 +355,7 @@ def measure_latencies(
             hz=100.0, window_seconds=1e9, journal=obs.NOOP_JOURNAL
         )
         profile_frames = (
-            "repro.serve._worker_loop",
+            "repro.serve.estimate",
             "repro.core.costing.estimate_plan",
             "repro.core.estimator.estimate",
         )
@@ -469,7 +469,7 @@ def measure_counters(module, engine, catalog) -> Dict[str, float]:
 def measure_serve(fast: bool) -> Dict[str, float]:
     """Concurrent serving latencies from one closed-loop load run.
 
-    Eight clients through the 8-worker pool (see
+    Eight client threads calling the service inline (see
     ``benchmarks/bench_serve.py``); the run must complete cleanly and
     bit-identically or the gate errors out rather than pinning garbage.
     ``serve_throughput`` is stored as overall seconds-per-request so the
@@ -490,7 +490,6 @@ def measure_serve(fast: bool) -> Dict[str, float]:
             sphere,
             clients=8,
             requests_per_client=10 if fast else 25,
-            workers=8,
         )
         if summary["errors"] or not summary["bit_identical"]:
             raise RuntimeError(f"serve load run failed: {summary}")

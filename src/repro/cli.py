@@ -670,7 +670,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         sphere,
         host=args.host,
         port=args.port,
-        workers=args.workers,
         queue_depth=args.queue_depth,
         tenant_header=args.tenant_header,
         rules=rules,
@@ -682,7 +681,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         "/dashboard ...)"
     )
     print(
-        f"workers={args.workers} queue-depth={args.queue_depth} "
+        f"queue-depth={args.queue_depth} "
         f"tenant header: {args.tenant_header}"
     )
     deadline = (
@@ -1088,16 +1087,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port; 0 binds an ephemeral port (default: 8322)",
     )
     daemon.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="estimation worker threads (default: 4)",
-    )
-    daemon.add_argument(
         "--queue-depth",
         type=int,
         default=64,
-        help="admission-queue bound; beyond it requests get 503 + "
+        help="bound on requests in flight; beyond it requests get 503 + "
         "Retry-After (default: 64)",
     )
     daemon.add_argument(

@@ -90,7 +90,7 @@ class CostEstimationModule:
             Pass ``EstimateCache(max_entries=0)`` to disable caching.
 
     Concurrency: estimation is read-mostly and thread-safe — many
-    threads (the serve daemon's worker pool, a thread-pooled optimizer)
+    threads (the serve daemon's HTTP handlers, a thread-pooled optimizer)
     may call the estimate entry points concurrently over one shared
     module.  Model mutations (training folds, approach switchover,
     :meth:`swap_estimator`) take the write side of :attr:`swap_gate`,

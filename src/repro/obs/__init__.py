@@ -166,8 +166,6 @@ from repro.obs.context import (
     QueryContext,
     QueryStats,
     add_completion_hook,
-    adopt_context,
-    build_query_context,
     current_context,
     current_query_id,
     current_sampled,
@@ -335,8 +333,6 @@ __all__ = [
     "QueryContext",
     "QueryStats",
     "add_completion_hook",
-    "adopt_context",
-    "build_query_context",
     "current_context",
     "current_query_id",
     "current_sampled",

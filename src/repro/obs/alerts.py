@@ -748,8 +748,9 @@ def default_rules() -> Tuple[AlertRule, ...]:
             threshold=48.0,
             severity="warning",
             description=(
-                "admission queue close to its bound — sustained "
-                "backpressure; rejects with Retry-After are imminent"
+                "requests in flight close to the admission bound — "
+                "sustained backpressure; rejects with Retry-After are "
+                "imminent"
             ),
         ),
         AlertRule(

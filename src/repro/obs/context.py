@@ -54,8 +54,6 @@ __all__ = [
     "HeadSampler",
     "ExemplarStore",
     "query_context",
-    "build_query_context",
-    "adopt_context",
     "ensure_query_context",
     "current_context",
     "current_query_id",
@@ -324,46 +322,6 @@ class _ContextScope:
         )
 
 
-def build_query_context(
-    query: str = "",
-    query_id: Optional[str] = None,
-    sampled: Optional[bool] = None,
-    tenant: str = "",
-) -> QueryContext:
-    """Mint a query context *without* installing it.
-
-    The cross-thread serving primitive: ``contextvars`` do not cross
-    thread boundaries, so the serving daemon mints the context (id,
-    sampling decision, tenant) at admission time on the HTTP thread,
-    ships it with the job, and the worker thread opens the owning
-    scope with :func:`adopt_context`.  The query id therefore reflects
-    *arrival* order even when workers complete out of order.
-    """
-    if sampled is None:
-        sampled = get_sampler().decide()
-    context = QueryContext(
-        query_id=query_id if query_id is not None else _next_query_id(),
-        sampled=sampled,
-        query=query,
-        tenant=tenant,
-    )
-    counter("context.queries", help="query contexts opened").inc()
-    if not sampled:
-        counter(
-            "context.unsampled_queries",
-            help="queries dropped by head-based trace sampling",
-        ).inc()
-    return context
-
-
-def adopt_context(context: QueryContext) -> _ContextScope:
-    """Open an *owning* scope around a context minted elsewhere (see
-    :func:`build_query_context`): installs it, times the query, and
-    runs the completion hooks on exit — exactly like
-    :func:`query_context`, but on the adopting thread."""
-    return _ContextScope(context)
-
-
 def query_context(
     query: str = "",
     query_id: Optional[str] = None,
@@ -380,11 +338,21 @@ def query_context(
             sampler when omitted.
         tenant: The workload/tenant the query is attributed to.
     """
-    return _ContextScope(
-        build_query_context(
-            query=query, query_id=query_id, sampled=sampled, tenant=tenant
-        )
+    if sampled is None:
+        sampled = get_sampler().decide()
+    context = QueryContext(
+        query_id=query_id if query_id is not None else _next_query_id(),
+        sampled=sampled,
+        query=query,
+        tenant=tenant,
     )
+    counter("context.queries", help="query contexts opened").inc()
+    if not sampled:
+        counter(
+            "context.unsampled_queries",
+            help="queries dropped by head-based trace sampling",
+        ).inc()
+    return _ContextScope(context)
 
 
 def ensure_query_context(query: str = "", tenant: str = "") -> _ContextScope:

@@ -5,9 +5,9 @@ The span tracer (:mod:`repro.obs.tracing`) and the per-query profiler
 see only instrumented spans, and only for traced queries.  This module
 answers the complementary question for ROADMAP item 2 ("make the hot
 path as fast as Python allows"): **which frames** is the whole process
-actually burning CPU in, continuously, across every thread — serve
-workers, HTTP handlers, the simulator, the main thread — with no
-instrumentation at the sampled sites at all.
+actually burning CPU in, continuously, across every thread — HTTP
+handlers (which also run served estimates), the simulator, the main
+thread — with no instrumentation at the sampled sites at all.
 
 How it works:
 
@@ -15,7 +15,7 @@ How it works:
   (:data:`DEFAULT_HZ` by default; env :data:`PROF_ENV_VAR` or
   :func:`start_sampling`) and walks ``sys._current_frames()``;
 * every observed thread is tagged with a **role** from its name
-  (:func:`role_for_thread`: serve worker / http / main / simulator /
+  (:func:`role_for_thread`: http / main / simulator / profiler /
   other) and its stack is **folded** root-first into a
   ``[role];module.func;module.func`` key — the classic collapsed-stack
   form flamegraph tooling consumes;
@@ -137,7 +137,6 @@ SAMPLER_THREAD_NAME = "repro-prof-sampler"
 #: :func:`register_thread_role` (the traffic simulator and embedders tag
 #: their own threads this way).
 _DEFAULT_ROLES: Tuple[Tuple[str, str], ...] = (
-    ("repro-serve-worker", "serve"),
     ("repro-obs-server", "http"),
     ("repro-sim", "simulator"),
     (SAMPLER_THREAD_NAME, "profiler"),
@@ -164,9 +163,9 @@ def register_thread_role(prefix: str, role: str) -> None:
 def role_for_thread(name: str) -> str:
     """The sampling role of a thread, from its name.
 
-    ``repro-serve-worker-*`` threads are the estimation pool ("serve"),
     ``repro-obs-server:*`` and the stdlib's per-request
-    ``process_request_thread`` threads are the HTTP front ("http"),
+    ``process_request_thread`` threads are the HTTP front ("http"; served
+    estimates run on them),
     ``MainThread`` is "main", ``repro-sim*`` the traffic simulator;
     anything else is "other".
     """
@@ -703,7 +702,7 @@ def maybe_start_sampling() -> Optional[StackSampler]:
 
     Returns the sampler only when *this call* started it — the caller
     owns its shutdown (:class:`~repro.serve.EstimationService` starts
-    one per the environment and stops it on drain).  Off, or already
+    one per the environment and stops it in ``stop()``).  Off, or already
     installed by someone else: ``None``, zero further cost.
     """
     hz = _env_hz(os.environ.get(PROF_ENV_VAR, ""))

@@ -47,6 +47,11 @@ Design points:
 
 * **non-blocking** — ``ThreadingHTTPServer`` with daemon threads behind
   ``start()``; the caller's thread never serves requests;
+* **bounded request bodies** — a ``Content-Length`` above
+  :data:`MAX_BODY_BYTES` gets 413 and a bad one 400, both without
+  reading the body and with the connection closed, so one header cannot
+  make a handler thread allocate an arbitrary buffer or wait for a
+  body of that size;
 * **bounded request logging** — the default handler's stderr spam is
   redirected into a fixed-size ring (:attr:`ObsServer.request_log`);
 * **clean shutdown** — ``stop()`` unwinds ``serve_forever`` and joins
@@ -94,6 +99,7 @@ from repro.obs.timeseries import (
 __all__ = [
     "HttpRequest",
     "HttpResponse",
+    "MAX_BODY_BYTES",
     "ObsServer",
     "REQUEST_LOG_LIMIT",
     "json_response",
@@ -101,6 +107,9 @@ __all__ = [
 
 #: Requests remembered in the bounded request log.
 REQUEST_LOG_LIMIT = 256
+
+#: Largest request body a handler reads (1 MiB); larger ones get 413.
+MAX_BODY_BYTES = 1 << 20
 
 _PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 _JSON_CONTENT_TYPE = "application/json; charset=utf-8"
@@ -182,22 +191,34 @@ class _Handler(BaseHTTPRequestHandler):
         obs: "ObsServer" = self.server.obs  # type: ignore[attr-defined]
         raw_path, _, query = self.path.partition("?")
         path = raw_path.rstrip("/") or "/"
+        raw_length = self.headers.get("Content-Length") or "0"
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = int(raw_length)
         except ValueError:
-            length = 0
-        body = self.rfile.read(length) if length > 0 else b""
-        request = HttpRequest(
-            method=method,
-            path=path,
-            query=query,
-            headers=self.headers,
-            body=body,
-        )
-        try:
-            response = obs.dispatch(request)
-        except Exception as exc:  # noqa: BLE001 — a request must not kill the server
-            response = json_response({"error": str(exc)}, status=500)
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # Refused before reading a byte; the unread body leaves the
+            # connection unusable, so it is closed.
+            response = json_response(
+                {
+                    "error": f"Content-Length {raw_length!r}: expected 0 "
+                    f"to {MAX_BODY_BYTES} bytes"
+                },
+                status=413 if length > MAX_BODY_BYTES else 400,
+                headers=(("Connection", "close"),),
+            )
+        else:
+            request = HttpRequest(
+                method=method,
+                path=path,
+                query=query,
+                headers=self.headers,
+                body=self.rfile.read(length) if length > 0 else b"",
+            )
+            try:
+                response = obs.dispatch(request)
+            except Exception as exc:  # noqa: BLE001 — a request must not kill the server
+                response = json_response({"error": str(exc)}, status=500)
         try:
             self._respond(response)
         except OSError:

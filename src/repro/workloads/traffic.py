@@ -9,7 +9,8 @@ diurnal, bursty) on a **simulated clock**, and mid-run environment
 mutations (growing tables, engine upgrades/config changes, out-of-range
 excursions).  Every query is driven through the federation's
 :class:`~repro.core.costing.CostEstimationModule` via a
-:class:`~repro.serve.EstimationService` worker, its actual fed back with
+:class:`~repro.serve.EstimationService` on the simulator's own thread,
+its actual fed back with
 :meth:`~repro.core.costing.CostEstimationModule.record_actual`, and a
 small operations policy reacts to drift the way the paper's "supervised
 ecosystem" would: let the alarm ring, re-collect statistics, discard the
@@ -20,10 +21,10 @@ Everything is a pure function of the seed:
 
 * arrival timestamps come from Lewis thinning over seeded ``numpy``
   generators — never from the wall clock;
-* the admission gate drains on simulated time, mirroring
-  :class:`repro.serve.AdmissionQueue` semantics without thread races;
-* the estimation service runs a **single** worker so journal events
-  append in arrival order;
+* the admission gate drains on simulated time, mirroring the serving
+  plane's bounded admission without thread races;
+* every query runs inline on the simulator's thread, one at a time, so
+  journal events append in arrival order;
 * the flight recorder stays uninstalled unless a dump directory is
   requested (its records carry wall-clock latencies, which would leak
   nondeterminism into journaled incident bundles).
@@ -351,11 +352,12 @@ class TenantMix:
 # Admission control on the simulated clock
 # ----------------------------------------------------------------------
 class AdmissionGate:
-    """Deterministic mirror of :class:`repro.serve.AdmissionQueue`.
+    """Deterministic mirror of the serving plane's admission bound.
 
     A bounded backlog drains at the service's capacity in *simulated*
     queries per second; an arrival that would push the backlog past
-    ``depth`` is shed, exactly like ``AdmissionQueue.offer`` raising
+    ``depth`` is shed, exactly like
+    :meth:`repro.serve.EstimationService.admitted` raising
     ``AdmissionRejected`` under real concurrency — but as a pure
     function of arrival timestamps, so storms shed the same queries on
     every run.
@@ -815,7 +817,7 @@ class TrafficSimulator:
         recovery = _Recovery()
         health_every = max(1, config.queries // max(1, config.health_samples))
 
-        service = EstimationService(self.sphere, workers=1, queue_depth=8)
+        service = EstimationService(self.sphere, queue_depth=8)
         service.start()
         try:
             for index, timestamp in enumerate(arrivals):
@@ -842,7 +844,6 @@ class TrafficSimulator:
                         lambda t=template: self._run_query(t),
                         query=template.label,
                         tenant=tenant,
-                        timeout=120.0,
                     )
                 except Exception:  # noqa: BLE001 - counted, not fatal
                     report.errors += 1

@@ -98,44 +98,6 @@ class TestQueryContext:
             thread.join()
         assert seen["query_id"] == context.query_id
 
-    def test_build_then_adopt_across_threads(self):
-        """The serving handoff: mint at admission, adopt on a worker."""
-        context = obs.build_query_context(query="SELECT 1", tenant="etl")
-        assert obs.current_context() is None  # minting does not install
-        seen = {}
-
-        def worker():
-            with obs.adopt_context(context) as adopted:
-                seen["query_id"] = obs.current_query_id()
-                seen["tenant"] = obs.current_tenant()
-                seen["same"] = adopted is context
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-        assert seen == {
-            "query_id": context.query_id,
-            "tenant": "etl",
-            "same": True,
-        }
-        assert obs.current_context() is None
-
-    def test_adopted_scope_runs_completion_hooks(self):
-        outcomes = []
-
-        def hook(outcome, decision):
-            outcomes.append(outcome)
-
-        obs.add_completion_hook(hook)
-        try:
-            context = obs.build_query_context(query="SELECT 1", tenant="adhoc")
-            with obs.adopt_context(context):
-                pass
-        finally:
-            obs.remove_completion_hook(hook)
-        assert len(outcomes) == 1
-        assert outcomes[0].tenant == "adhoc"
-
 
 class TestHeadSampler:
     def test_rate_one_samples_everything(self):

@@ -63,13 +63,13 @@ def make_sampler(**kwargs):
 
 # A small deterministic sample log: (now, role, frames) triples.
 SAMPLE_LOG = (
-    (0.1, "serve", ("repro.serve._worker_loop", "repro.core.estimate")),
-    (0.2, "serve", ("repro.serve._worker_loop", "repro.core.estimate")),
-    (0.3, "serve", ("repro.serve._worker_loop", "repro.core.lookup")),
+    (0.1, "serve", ("repro.serve.estimate", "repro.core.estimate")),
+    (0.2, "serve", ("repro.serve.estimate", "repro.core.estimate")),
+    (0.3, "serve", ("repro.serve.estimate", "repro.core.lookup")),
     (0.4, "http", ("http.server.handle", "repro.obs.server.render")),
     (0.5, "main", ()),
-    (10.2, "serve", ("repro.serve._worker_loop",)),
-    (10.4, "serve", ("repro.serve._worker_loop",)),
+    (10.2, "serve", ("repro.serve.estimate",)),
+    (10.4, "serve", ("repro.serve.estimate",)),
     (21.0, "main", ("repro.cli.main",)),
 )
 
@@ -91,7 +91,6 @@ class TestRoles:
     @pytest.mark.parametrize(
         "name,role",
         [
-            ("repro-serve-worker-3", "serve"),
             ("repro-obs-server:9177", "http"),
             ("repro-sim-tenant-a", "simulator"),
             ("repro-prof-sampler", "profiler"),
@@ -106,12 +105,12 @@ class TestRoles:
 
     def test_register_thread_role_takes_precedence(self):
         try:
-            register_thread_role("repro-serve-worker", "custom")
-            assert role_for_thread("repro-serve-worker-0") == "custom"
+            register_thread_role("repro-sim", "custom")
+            assert role_for_thread("repro-sim-0") == "custom"
         finally:
             # restore the builtin mapping for other tests
-            register_thread_role("repro-serve-worker", "serve")
-            assert role_for_thread("repro-serve-worker-0") == "serve"
+            register_thread_role("repro-sim", "simulator")
+            assert role_for_thread("repro-sim-0") == "simulator"
 
     def test_register_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -366,7 +365,7 @@ class TestLiveSampling:
             release.wait(timeout=10.0)
 
         worker = threading.Thread(
-            target=parked_worker, name="repro-serve-worker-77", daemon=True
+            target=parked_worker, name="repro-sim-77", daemon=True
         )
         worker.start()
         sampler = make_sampler(hz=400.0, window_seconds=0.25)
@@ -379,7 +378,7 @@ class TestLiveSampling:
         assert sampler.sampled >= 20
         merged = sampler.merged_stacks()
         roles = {stack.split(";")[0] for stack in merged}
-        assert "[serve]" in roles
+        assert "[simulator]" in roles
         assert obs.counter("obs.sampling.samples").value >= 20.0
         assert obs.gauge("obs.sampling.hz").value == 0.0  # stopped
 
@@ -387,7 +386,7 @@ class TestLiveSampling:
         release = threading.Event()
         worker = threading.Thread(
             target=release.wait, args=(10.0,),
-            name="repro-serve-worker-0", daemon=True,
+            name="repro-sim-0", daemon=True,
         )
         worker.start()
         sampler = make_sampler()
@@ -397,7 +396,7 @@ class TestLiveSampling:
             release.set()
             worker.join(timeout=5.0)
         roles = {s.split(";")[0] for s in sampler.merged_stacks()}
-        assert "[serve]" in roles  # the parked worker was walked
+        assert "[simulator]" in roles  # the parked thread was walked
         # the thread running the walk (this one) never samples itself
         own_role = f"[{role_for_thread(threading.current_thread().name)}]"
         assert own_role not in roles

@@ -3,6 +3,7 @@ concurrent scrapes, the firing→resolved trend-alert loop over a manual
 clock, bounded request logging, and clean lifecycle semantics."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -11,7 +12,12 @@ import pytest
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.server import REQUEST_LOG_LIMIT, ObsServer
+from repro.obs.server import (
+    MAX_BODY_BYTES,
+    REQUEST_LOG_LIMIT,
+    ObsServer,
+    json_response,
+)
 from repro.obs.timeseries import ManualClock
 
 
@@ -284,6 +290,75 @@ class TestRequestLog:
         assert len(server.request_log) >= 3
         assert any("/health" in line for line in server.request_log)
         assert server.request_log.maxlen == REQUEST_LOG_LIMIT
+
+
+def send_headers_only(server, content_length):
+    """POST headers announcing ``content_length`` body bytes, then no
+    body at all.  Reads until the server closes the connection (a
+    server that waited for the body would time this out instead) and
+    returns ``(status, lower-cased headers, JSON body)``."""
+    request = (
+        "POST /echo HTTP/1.1\r\n"
+        "Host: localhost\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    )
+    data = b""
+    with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+        sock.sendall(request.encode("ascii"))
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = {
+        name.strip().lower(): value.strip()
+        for name, _, value in (line.partition(":") for line in header_lines)
+    }
+    return int(status_line.split()[1]), headers, json.loads(body)
+
+
+class TestRequestBodyLimits:
+    @pytest.fixture()
+    def echo(self, obs_state):
+        bodies = []
+
+        def handler(request):
+            bodies.append(request.body)
+            return json_response({"bytes": len(request.body)})
+
+        server = ObsServer(port=0).register("/echo", handler, method="POST")
+        with server:
+            yield server, bodies
+
+    def test_oversized_length_is_413_and_closes(self, echo):
+        server, bodies = echo
+        status, headers, payload = send_headers_only(server, MAX_BODY_BYTES + 1)
+        assert status == 413
+        assert headers["connection"] == "close"
+        assert str(MAX_BODY_BYTES) in payload["error"]
+        assert bodies == []  # the route never ran
+        assert get(f"{server.url}/health")[0] == 200  # the server lives on
+
+    @pytest.mark.parametrize("length", ["-1", "12abc"])
+    def test_bad_length_is_400_and_closes(self, echo, length):
+        server, bodies = echo
+        status, headers, payload = send_headers_only(server, length)
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert length in payload["error"]
+        assert bodies == []
+
+    def test_body_at_the_limit_is_read(self, echo):
+        server, bodies = echo
+        request = urllib.request.Request(
+            f"{server.url}/echo", data=b"x" * MAX_BODY_BYTES, method="POST"
+        )
+        with urllib.request.urlopen(request, timeout=10.0) as response:
+            assert json.loads(response.read()) == {"bytes": MAX_BODY_BYTES}
+        assert len(bodies) == 1
 
 
 class TestTrendAlertLoop:

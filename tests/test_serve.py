@@ -1,9 +1,12 @@
-"""The concurrent estimation service: admission control, worker-pool
-determinism (bit-identical to single-threaded runs), graceful model
-swaps under load, and the HTTP endpoints on the shared obs port."""
+"""The concurrent estimation service: admission slots, determinism
+under concurrent callers (bit-identical to single-threaded runs),
+graceful model swaps under load, and the HTTP endpoints on the shared
+obs port."""
 
 import json
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -15,12 +18,8 @@ from repro.data import build_paper_corpus
 from repro.engines import HiveEngine
 from repro.master.federation import IntelliSphere
 from repro.obs.metrics import MetricsRegistry
-from repro.serve import (
-    AdmissionQueue,
-    AdmissionRejected,
-    EstimationService,
-    ServeDaemon,
-)
+from repro.exceptions import ConfigurationError
+from repro.serve import AdmissionRejected, EstimationService, ServeDaemon
 from repro.sql.parser import parse_select
 
 QUERIES = (
@@ -74,63 +73,134 @@ def serial_reference(sphere):
     return reference
 
 
-class TestAdmissionQueue:
-    def test_fifo_and_depth(self):
-        queue = AdmissionQueue(limit=4)
-        jobs = []
-        for index in range(3):
-            job = _noop_job(index)
-            jobs.append(job)
-            queue.offer(job)
-        assert queue.depth == 3
-        assert [queue.take() for _ in range(3)] == jobs
-        assert queue.depth == 0
+def run_parked(service, count):
+    """Start ``count`` threads, each parked inside ``service.execute``.
 
-    def test_overflow_rejects_with_retry_after(self):
-        queue = AdmissionQueue(limit=2, retry_after=0.5)
-        queue.offer(_noop_job(0))
-        queue.offer(_noop_job(1))
-        with pytest.raises(AdmissionRejected) as excinfo:
-            queue.offer(_noop_job(2))
-        assert excinfo.value.depth == 2
-        assert excinfo.value.limit == 2
-        assert excinfo.value.retry_after == 0.5
-        assert obs.counter("serve.rejected").value == 1.0
+    Returns ``(release, threads)``; every thread holds an in-flight slot
+    until ``release`` is set.
+    """
+    release = threading.Event()
+    running = threading.Semaphore(0)
 
-    def test_closed_queue_drains_then_signals_shutdown(self):
-        queue = AdmissionQueue(limit=4)
-        admitted = _noop_job(0)
-        queue.offer(admitted)
-        queue.close()
-        with pytest.raises(RuntimeError):
-            queue.offer(_noop_job(1))
-        assert queue.take() is admitted  # already-admitted work drains
-        assert queue.take() is None  # then workers are told to exit
+    def occupy():
+        running.release()
+        release.wait(10.0)
 
-    def test_bad_depth_rejected(self):
-        from repro.exceptions import ConfigurationError
+    threads = [
+        threading.Thread(target=service.execute, args=(occupy,), daemon=True)
+        for _ in range(count)
+    ]
+    for thread in threads:
+        thread.start()
+    for _ in range(count):
+        assert running.acquire(timeout=10.0)
+    return release, threads
 
+
+class TestAdmissionSlots:
+    def test_bad_depth_rejected(self, sphere):
         with pytest.raises(ConfigurationError):
-            AdmissionQueue(limit=0)
+            EstimationService(sphere, queue_depth=0)
 
+    def test_overflow_rejects_with_retry_after(self, sphere):
+        with EstimationService(sphere, queue_depth=2, retry_after=0.5) as service:
+            release, threads = run_parked(service, 2)
+            try:
+                with pytest.raises(AdmissionRejected) as excinfo:
+                    service.estimate("hive", QUERIES[2])
+            finally:
+                release.set()
+                for thread in threads:
+                    thread.join(10.0)
+            assert excinfo.value.depth == 2
+            assert excinfo.value.limit == 2
+            assert excinfo.value.retry_after == 0.5
+            # The slots came back: the bound admits again.
+            assert service.estimate("hive", QUERIES[2])["seconds"] > 0
+        assert obs.counter("serve.rejected").value == 1.0
+        assert obs.counter("serve.admitted").value == 3.0
 
-def _noop_job(index):
-    from repro.serve import _Job
+    def test_depth_gauge_tracks_in_flight(self, sphere):
+        with EstimationService(sphere, queue_depth=4) as service:
+            release, threads = run_parked(service, 3)
+            assert obs.gauge("serve.queue_depth").value == 3.0
+            release.set()
+            for thread in threads:
+                thread.join(10.0)
+            assert obs.gauge("serve.queue_depth").value == 0.0
+        assert obs.counter("serve.completed").value == 3.0
 
-    return _Job(
-        context=obs.build_query_context(query=f"job-{index}"),
-        work=lambda: index,
-        enqueued=0.0,
-    )
+    def test_raising_work_leaks_no_slot(self, sphere):
+        """50 requests whose work raises, then one that succeeds, all
+        through a one-slot daemon: a leaked slot would turn the last
+        request into a 503."""
+        with ServeDaemon(sphere, port=0, queue_depth=1) as daemon:
+            statuses = [
+                post(daemon.url + "/estimate", {"system": "hive", "sql": "SELEKT"})[0]
+                for _ in range(50)
+            ]
+            final = post(
+                daemon.url + "/estimate", {"system": "hive", "sql": QUERIES[2]}
+            )[0]
+        assert statuses == [400] * 50
+        assert final == 200
+        assert obs.counter("serve.rejected").value == 0.0
+        assert obs.counter("serve.errors").value == 50.0
+        assert obs.counter("serve.completed").value == 1.0
+        assert obs.gauge("serve.queue_depth").value == 0.0
+
+    def test_slots_balance_under_contention(self, sphere):
+        """8 threads (more than cores) hammering 8 slots with a short
+        switch interval: a lost update on the in-flight count would
+        reject a request or leave the gauge above zero."""
+        errors = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with EstimationService(sphere, queue_depth=8) as service:
+
+                def caller():
+                    try:
+                        for _ in range(200):
+                            service.execute(lambda: None)
+                    except BaseException as exc:  # noqa: BLE001
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=caller) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert errors == []
+        assert obs.counter("serve.rejected").value == 0.0
+        assert obs.counter("serve.completed").value == 1600.0
+        assert obs.gauge("serve.queue_depth").value == 0.0
+
+    def test_served_operations_bypass_execute(self, sphere, monkeypatch):
+        """``estimate``/``optimize`` run their bodies inside
+        ``admitted()``, never through ``execute``: wrappers of
+        ``execute`` (such as a layer tracer) see only the work that is
+        handed to it."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("execute called")
+
+        monkeypatch.setattr(EstimationService, "execute", refuse)
+        with EstimationService(sphere) as service:
+            assert service.estimate("hive", QUERIES[2])["seconds"] > 0
+            assert service.optimize(QUERIES[2])["location"]
 
 
 class TestConcurrentDeterminism:
     def test_eight_workers_bit_identical_to_serial(self, sphere):
-        """The acceptance criterion: estimates served through 8
-        concurrent workers equal single-threaded runs bit for bit."""
+        """The acceptance criterion: estimates served to 8 concurrent
+        calling threads equal single-threaded runs bit for bit."""
         reference = serial_reference(sphere)
         sphere.costing.invalidate_cache()
-        with EstimationService(sphere, workers=8, queue_depth=256) as service:
+        with EstimationService(sphere, queue_depth=256) as service:
             results = [[] for _ in range(8)]
             errors = []
 
@@ -164,13 +234,12 @@ class TestConcurrentDeterminism:
 
     def test_query_ids_minted_at_admission(self, sphere):
         obs.reset_query_ids()
-        with EstimationService(sphere, workers=2) as service:
-            jobs = [
-                service.submit(lambda: None, query=f"q{i}") for i in range(4)
+        with EstimationService(sphere) as service:
+            ids = [
+                service.execute(obs.current_query_id, query=f"q{i}")
+                for i in range(4)
             ]
-            for job in jobs:
-                assert job.done.wait(timeout=10.0)
-        assert [job.context.query_id for job in jobs] == [
+        assert ids == [
             "q-000001",
             "q-000002",
             "q-000003",
@@ -178,7 +247,7 @@ class TestConcurrentDeterminism:
         ]
 
     def test_tenant_attribution_through_the_pool(self, sphere):
-        with EstimationService(sphere, workers=2) as service:
+        with EstimationService(sphere) as service:
             service.estimate("hive", QUERIES[2], tenant="etl")
             service.estimate("hive", QUERIES[2], tenant="etl")
             service.estimate("hive", QUERIES[3], tenant="adhoc")
@@ -187,7 +256,7 @@ class TestConcurrentDeterminism:
         assert snapshot["adhoc"]["queries"] == 1
 
     def test_worker_errors_do_not_kill_the_pool(self, sphere):
-        with EstimationService(sphere, workers=1) as service:
+        with EstimationService(sphere, queue_depth=1) as service:
             with pytest.raises(ZeroDivisionError):
                 service.execute(lambda: 1 / 0)
             assert service.execute(lambda: 7) == 7
@@ -205,7 +274,7 @@ class TestSwapUnderLoad:
         errors = []
         served = {"count": 0}
 
-        with EstimationService(sphere, workers=8, queue_depth=512) as service:
+        with EstimationService(sphere, queue_depth=512) as service:
 
             def client(slot):
                 index = slot
@@ -267,39 +336,30 @@ class TestSwapUnderLoad:
 
 class TestSaturationAndProfiling:
     def test_queue_depth_gauge_zeroed_after_stop(self, sphere):
-        with EstimationService(sphere, workers=2) as service:
+        with EstimationService(sphere) as service:
             service.estimate("hive", QUERIES[2])
-            assert obs.gauge("serve.workers").value == 2.0
-        # Drain-then-shutdown resets both gauges, not just the workers
-        # one — a stopped service must not report phantom queue depth.
-        assert obs.gauge("serve.workers").value == 0.0
+            assert obs.counter("serve.admitted").value == 1.0
+        # Every slot is released when its request ends: a stopped
+        # service must not report phantom in-flight requests.
         assert obs.gauge("serve.queue_depth").value == 0.0
-
-    def test_worker_utilization_telemetry(self, sphere):
-        with EstimationService(sphere, workers=2) as service:
-            for _ in range(3):
-                for sql in QUERIES:
-                    service.estimate("hive", sql)
-            utilization = service.utilization()
-        assert 0.0 <= utilization <= 1.0
-        assert obs.counter("serve.worker_busy_seconds").value > 0.0
-        assert obs.counter("serve.worker_idle_seconds").value >= 0.0
-        assert 0.0 <= obs.gauge("serve.utilization").value <= 1.0
+        assert obs.histogram("serve.latency_seconds").count == 1
 
     def test_eight_workers_bit_identical_with_sampler_running(
         self, sphere, monkeypatch
     ):
         """The profiling acceptance criterion: a service run with the
         stack sampler on serves estimates bit-identical to serial runs,
-        and the service owns the sampler's shutdown."""
+        the sampler walks the calling threads the estimates run on, and
+        the service owns the sampler's shutdown."""
         monkeypatch.setenv(obs.PROF_ENV_VAR, "300")
         reference = serial_reference(sphere)
         sphere.costing.invalidate_cache()
-        with EstimationService(sphere, workers=8, queue_depth=256) as service:
+        with EstimationService(sphere, queue_depth=256) as service:
             sampler = obs.get_stack_sampler()
             assert sampler is not None and sampler.running
             results = [[] for _ in range(8)]
             errors = []
+            release = threading.Event()
 
             def client(slot):
                 try:
@@ -309,13 +369,27 @@ class TestSaturationAndProfiling:
                         results[slot].append((sql, payload))
                 except BaseException as exc:  # noqa: BLE001
                     errors.append(exc)
+                # Stay alive until the sampler has walked this thread.
+                release.wait(10.0)
 
             threads = [
-                threading.Thread(target=client, args=(slot,), daemon=True)
+                threading.Thread(
+                    target=client,
+                    args=(slot,),
+                    name=f"repro-sim-caller-{slot}",
+                    daemon=True,
+                )
                 for slot in range(8)
             ]
             for thread in threads:
                 thread.start()
+            while not all(len(r) == 5 for r in results) and not errors:
+                time.sleep(0.01)
+            mark = sampler.sampled
+            deadline = time.monotonic() + 10.0
+            while sampler.sampled < mark + 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            release.set()
             for thread in threads:
                 thread.join(timeout=60.0)
         assert errors == []
@@ -328,11 +402,11 @@ class TestSaturationAndProfiling:
         assert not sampler.running
         assert sampler.sampled > 0  # it really did observe the run
         roles = {s.split(";")[0] for s in sampler.merged_stacks()}
-        assert "[serve]" in roles  # worker threads were walked
+        assert f"[{obs.role_for_thread(threads[0].name)}]" in roles
 
     def test_sampler_not_started_when_env_off(self, sphere, monkeypatch):
         monkeypatch.delenv(obs.PROF_ENV_VAR, raising=False)
-        with EstimationService(sphere, workers=1) as service:
+        with EstimationService(sphere) as service:
             service.estimate("hive", QUERIES[2])
             assert obs.get_stack_sampler() is None
 
@@ -366,7 +440,7 @@ def get(url, timeout=30.0):
 class TestHttpEndpoints:
     @pytest.fixture()
     def daemon(self, sphere):
-        with ServeDaemon(sphere, port=0, workers=4, queue_depth=32) as running:
+        with ServeDaemon(sphere, port=0, queue_depth=32) as running:
             yield running
 
     def test_estimate_endpoint(self, sphere, daemon):
@@ -419,28 +493,25 @@ class TestHttpEndpoints:
             assert get(daemon.url + path)[0] == 200
 
     def test_backpressure_maps_to_503_with_retry_after(self, sphere):
-        with ServeDaemon(sphere, port=0, workers=1, queue_depth=1) as daemon:
-            release = threading.Event()
-            running = threading.Event()
-
-            def occupy_worker():
-                running.set()
-                release.wait(10.0)
-
-            # Saturate: one job occupies the worker, one fills the queue.
-            blocker = daemon.service.submit(occupy_worker)
-            assert running.wait(10.0)  # the worker has dequeued it
-            queued = daemon.service.submit(lambda: None)
-            status, headers, payload = post(
-                daemon.url + "/estimate",
-                {"system": "hive", "sql": QUERIES[2]},
-            )
-            release.set()
-            assert blocker.done.wait(10.0) and queued.done.wait(10.0)
+        with ServeDaemon(sphere, port=0, queue_depth=1) as daemon:
+            # Saturate: one request parked inside execute holds the slot.
+            release, threads = run_parked(daemon.service, 1)
+            try:
+                status, headers, payload = post(
+                    daemon.url + "/estimate",
+                    {"system": "hive", "sql": QUERIES[2]},
+                )
+            finally:
+                release.set()
+                threads[0].join(10.0)
             assert status == 503
             assert headers.get("Retry-After") == "1"
-            assert payload["error"] == "admission queue full"
-            assert payload["limit"] == 1
+            assert payload == {
+                "error": "admission queue full",
+                "depth": 1,
+                "limit": 1,
+                "retry_after": 1.0,
+            }
         assert obs.counter("serve.rejected").value == 1.0
 
 
@@ -448,11 +519,8 @@ class TestServeCliWiring:
     def test_parser_defaults(self):
         from repro.cli import build_parser, cmd_serve
 
-        args = build_parser().parse_args(
-            ["serve", "--port", "0", "--workers", "2"]
-        )
+        args = build_parser().parse_args(["serve", "--port", "0"])
         assert args.func is cmd_serve
         assert args.port == 0
-        assert args.workers == 2
         assert args.queue_depth == 64
         assert args.tenant_header == "X-Repro-Tenant"
